@@ -15,16 +15,27 @@ is 1.0 and takes a few minutes).
 import sys
 
 from repro.experiments import (FIG12_SCHEMES, FIG15_SCHEMES, FIG16_SCHEMES,
-                               render_mix_table, render_slowdown_table,
-                               run_performance_study)
+                               PerformanceStudy, render_mix_table,
+                               render_slowdown_table, run_matrix)
 from repro.workloads import ALL_ORDER
 
 
 def main():
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
 
+    # The three figures share baseline, swdup and pre-mad: measure every
+    # (workload, scheme) pair once and give each figure its own view.
+    schemes = tuple(dict.fromkeys(FIG12_SCHEMES + FIG15_SCHEMES +
+                                  FIG16_SCHEMES))
+    grid = run_matrix(ALL_ORDER, schemes, scale)
+
+    def study(figure_schemes):
+        return PerformanceStudy(
+            {workload: {scheme: runs[scheme] for scheme in figure_schemes}
+             for workload, runs in grid.items()}, figure_schemes)
+
     print("Figure 12 — SwapCodes slowdowns")
-    fig12 = run_performance_study(FIG12_SCHEMES, ALL_ORDER, scale)
+    fig12 = study(FIG12_SCHEMES)
     assert fig12.all_verified(), "a workload produced wrong results!"
     print(render_slowdown_table(fig12))
 
@@ -32,12 +43,10 @@ def main():
     print(render_mix_table(fig12))
 
     print("\nFigure 15 — inter-thread duplication")
-    fig15 = run_performance_study(FIG15_SCHEMES, ALL_ORDER, scale)
-    print(render_slowdown_table(fig15))
+    print(render_slowdown_table(study(FIG15_SCHEMES)))
 
     print("\nFigure 16 — projected future predictors")
-    fig16 = run_performance_study(FIG16_SCHEMES, ALL_ORDER, scale)
-    print(render_slowdown_table(fig16))
+    print(render_slowdown_table(study(FIG16_SCHEMES)))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,11 @@ class LaunchResult:
     memory_transactions: int
     resilience: ResilienceState
     halted: Optional[str] = None
+    #: L1 line hits and misses of global accesses, summed over SMs
+    l1_hits: int = 0
+    l1_misses: int = 0
+    #: cycles SMs spent with no warp able to issue, summed over SMs
+    idle_cycles: int = 0
 
     @property
     def detected(self) -> bool:
@@ -60,6 +65,7 @@ class Device:
         issued = 0
         issued_by_pipe: Dict[str, int] = {}
         transactions = 0
+        l1_hits = l1_misses = idle_cycles = 0
         halted = None
         for sm_index in range(self.params.num_sms):
             cta_indices = list(range(sm_index, launch.grid_ctas,
@@ -77,6 +83,9 @@ class Device:
             cycles = max(cycles, sm_cycles)
             issued += sm.stats.issued
             transactions += sm.stats.memory_transactions
+            l1_hits += sm.stats.l1_hits
+            l1_misses += sm.stats.l1_misses
+            idle_cycles += sm.stats.idle_cycles
             for pipe, count in sm.stats.issued_by_pipe.items():
                 issued_by_pipe[pipe] = issued_by_pipe.get(pipe, 0) + count
             if halted:
@@ -87,7 +96,8 @@ class Device:
             occupancy=occupancy, issued=issued,
             issued_by_pipe=issued_by_pipe,
             memory_transactions=transactions, resilience=state,
-            halted=halted)
+            halted=halted, l1_hits=l1_hits, l1_misses=l1_misses,
+            idle_cycles=idle_cycles)
 
 
 def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,

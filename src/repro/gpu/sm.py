@@ -17,6 +17,7 @@ the write-after-write dependence Section III-A describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
@@ -25,7 +26,7 @@ from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
 from repro.gpu.timing import TimingParams
-from repro.gpu.warp import Warp
+from repro.gpu.warp import StackEntry, Warp
 
 
 @dataclass
@@ -89,16 +90,48 @@ class _Cta:
 
 
 class _Slot:
-    """Scheduler state for one resident warp."""
+    """Scheduler state for one resident warp.
 
-    __slots__ = ("warp", "cta", "reg_ready", "pred_ready", "next_free")
+    Besides the scoreboard, a slot caches what the scheduler asks of its
+    warp every cycle: the instruction at the top of its SIMT stack, the
+    units of that instruction's pipe, and the cycle its operands are
+    ready.  All of it changes only when this warp steps (the scoreboard
+    is written by the same issue), so a step marks the cache ``stale``
+    and :meth:`refresh` recomputes it on the scheduler's next visit.
+    """
 
-    def __init__(self, warp: Warp, cta: _Cta):
+    __slots__ = ("warp", "cta", "reg_ready", "pred_ready", "next_free",
+                 "stale", "instruction", "units", "ready")
+
+    def __init__(self, warp: Warp, cta: _Cta, next_free: int):
         self.warp = warp
         self.cta = cta
         self.reg_ready: Dict[int, int] = {}
         self.pred_ready: Dict[int, int] = {}
-        self.next_free = 0
+        self.next_free = next_free
+        self.stale = True
+        self.instruction: Optional[Instruction] = None
+        self.units: List[int] = []
+        self.ready = 0
+
+    def refresh(self, instructions: List[Instruction],
+                pipe_free: Dict[Pipe, List[int]]) -> Optional[StackEntry]:
+        """Recompute the cached issue state; None once the warp is done.
+
+        Called lazily — on the first visit after a step, never right
+        after the step itself — because :meth:`Warp.current_entry` is
+        what marks a finished warp ``done``, and CTA retirement reads
+        ``done`` at the end of every cycle.  Refreshing eagerly would
+        mark a warp done in the cycle of its last ``EXIT`` and retire
+        its CTA a cycle early.
+        """
+        self.stale = False
+        entry = self.warp.current_entry()
+        if entry is not None:
+            instruction = self.instruction = instructions[entry.pc]
+            self.units = pipe_free[instruction.spec.pipe]
+            self.ready = self.ready_cycle(instruction)
+        return entry
 
     def ready_cycle(self, instruction: Instruction) -> int:
         """Earliest cycle this instruction's operands are all available."""
@@ -160,6 +193,8 @@ class StreamingMultiprocessor:
     def run(self, cta_indices: List[int]) -> int:
         """Run the given CTAs to completion; returns total cycles."""
         occupancy = self.params.occupancy(self.kernel, self.launch)
+        issue_width = self.params.issue_width
+        instructions = self.kernel.instructions
         pending = list(cta_indices)
         slots: List[_Slot] = []
         ctas: List[_Cta] = []
@@ -168,56 +203,51 @@ class StreamingMultiprocessor:
         cycle = 0
         rr_pointer = 0
 
-        def admit():
+        def admit() -> bool:
+            admitted = False
             while pending and len(ctas) < occupancy.ctas_per_sm:
                 cta = self._make_cta(pending.pop(0))
                 ctas.append(cta)
-                for warp in cta.warps:
-                    slot = _Slot(warp, cta)
-                    slot.next_free = cycle
-                    slots.append(slot)
+                slots.extend(_Slot(warp, cta, cycle) for warp in cta.warps)
+                admitted = True
+            return admitted
 
         admit()
         while slots or pending:
             issued = 0
-            order = list(range(len(slots)))
-            order = order[rr_pointer:] + order[:rr_pointer]
-            for position in order:
-                if issued >= self.params.issue_width:
+            count = len(slots)
+            for position in chain(range(rr_pointer, count),
+                                  range(rr_pointer)):
+                if issued >= issue_width:
                     break
                 slot = slots[position]
                 warp = slot.warp
                 if warp.done or warp.at_barrier:
                     continue
-                entry = warp.current_entry()
-                if entry is None:
+                if slot.stale and \
+                        slot.refresh(instructions, pipe_free) is None:
                     continue
-                instruction = self.kernel.instructions[entry.pc]
-                if slot.ready_cycle(instruction) > cycle:
-                    continue
-                pipe = instruction.spec.pipe
-                if min(pipe_free[pipe]) > cycle:
+                if slot.ready > cycle or min(slot.units) > cycle:
                     continue
                 info = warp.step()
-                if info is None:
-                    continue
+                slot.stale = True
                 issued += 1
                 if self.watchdog is not None:
                     self.watchdog.tick(slot.cta.cta_index, warp.warp_index)
-                rr_pointer = (position + 1) % max(len(slots), 1)
-                self._account(slot, instruction, info, pipe, pipe_free,
-                              cycle)
+                rr_pointer = (position + 1) % count
+                self._account(slot, info, cycle)
                 if info.barrier:
                     slot.cta.barrier_release()
 
             # Retire finished CTAs and admit new ones.
+            admitted = False
             finished = [cta for cta in ctas if cta.done]
             if finished:
                 for cta in finished:
                     ctas.remove(cta)
                 slots = [slot for slot in slots if not slot.warp.done]
                 rr_pointer = 0
-                admit()
+                admitted = admit()
 
             if not slots and not pending:
                 break
@@ -226,15 +256,16 @@ class StreamingMultiprocessor:
             else:
                 if self.watchdog is not None:
                     self.watchdog.check_deadline()
-                cycle = self._skip_to_next_event(slots, pipe_free, cycle)
+                cycle = self._skip_to_next_event(slots, pipe_free, cycle,
+                                                 admitted)
         self.stats.cycles = cycle
         return cycle
 
     # ------------------------------------------------------------------
-    def _account(self, slot: _Slot, instruction: Instruction, info,
-                 pipe: Pipe, pipe_free: Dict[Pipe, List[int]],
-                 cycle: int) -> None:
+    def _account(self, slot: _Slot, info, cycle: int) -> None:
+        instruction = slot.instruction
         spec = instruction.spec
+        pipe = spec.pipe
         interval = spec.initiation_interval
         latency = spec.latency
         if pipe is Pipe.LSU:
@@ -251,7 +282,7 @@ class StreamingMultiprocessor:
                     latency = self.params.l1_hit_latency
             latency = latency + 2 * (transactions - 1)
             self.stats.memory_transactions += transactions
-        units = pipe_free[pipe]
+        units = slot.units
         unit = min(range(len(units)), key=units.__getitem__)
         units[unit] = cycle + interval
         slot.next_free = cycle + 1
@@ -265,20 +296,26 @@ class StreamingMultiprocessor:
 
     def _skip_to_next_event(self, slots: List[_Slot],
                             pipe_free: Dict[Pipe, List[int]],
-                            cycle: int) -> int:
-        """Nothing issued: jump to the earliest cycle something could."""
+                            cycle: int, admitted: bool = False) -> int:
+        """Nothing issued: jump to the earliest cycle something could.
+
+        ``admitted`` says CTAs were admitted at the end of this cycle.
+        Their warps may be ready now, but like warps admitted after a
+        cycle that issued, they first issue on the next cycle.  Any
+        other warp ready now should have issued this cycle: that state
+        means the issue loop and the cached slot state disagree, and it
+        raises :class:`~repro.errors.SimulationError`.
+        """
+        instructions = self.kernel.instructions
         candidates = []
         for slot in slots:
             warp = slot.warp
             if warp.done or warp.at_barrier:
                 continue
-            entry = warp.current_entry()
-            if entry is None:
+            if slot.stale and \
+                    slot.refresh(instructions, pipe_free) is None:
                 continue
-            instruction = self.kernel.instructions[entry.pc]
-            ready = slot.ready_cycle(instruction)
-            ready = max(ready, min(pipe_free[instruction.spec.pipe]))
-            candidates.append(ready)
+            candidates.append(max(slot.ready, min(slot.units)))
         if not candidates:
             barriers = [slot for slot in slots
                         if not slot.warp.done and slot.warp.at_barrier]
@@ -288,8 +325,12 @@ class StreamingMultiprocessor:
                     f"barrier that can never release")
             return cycle
         earliest = min(candidates)
-        if earliest <= cycle:
-            # Should not happen; guard against infinite loops.
+        if earliest > cycle:
+            self.stats.idle_cycles += earliest - cycle
+            return earliest
+        if admitted:
             return cycle + 1
-        self.stats.idle_cycles += earliest - cycle
-        return earliest
+        raise SimulationError(
+            f"{self.kernel.name}: no warp issued at cycle {cycle}, yet "
+            f"one was ready at cycle {earliest}",
+            context={"cycle": cycle, "earliest": earliest})

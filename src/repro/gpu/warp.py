@@ -134,8 +134,7 @@ class Warp:
             if top.reconv is not None and top.pc == top.reconv:
                 self.stack.pop()
                 continue
-            mask = top.mask & self.alive
-            if not mask.any():
+            if not np.count_nonzero(top.mask & self.alive):
                 self.stack.pop()
                 continue
             if top.pc >= len(self.kernel.instructions):
@@ -349,7 +348,8 @@ class Warp:
         else:
             exec_mask = active
 
-        info = StepInfo(instruction, pc, int(exec_mask.sum()))
+        active_lanes = np.count_nonzero(exec_mask)
+        info = StepInfo(instruction, pc, active_lanes)
         op = instruction.op
         spec = instruction.spec
 
@@ -365,7 +365,7 @@ class Warp:
             info.barrier = True
         elif op == "BPT":
             entry.pc = pc + 1
-            if exec_mask.any():
+            if active_lanes:
                 self.resilience.record("trap", self.cta_index,
                                        self.warp_index, pc, "BPT")
                 if self.resilience.halt_on_detect:
@@ -374,12 +374,12 @@ class Warp:
             entry.pc = pc + 1
         else:
             entry.pc = pc + 1
-            if exec_mask.any():
+            if active_lanes:
                 self._last_segments = ()
                 info.transactions = self._exec_data(instruction, exec_mask)
                 info.segments = self._last_segments
 
-        if spec.writes_dest and exec_mask.any() \
+        if spec.writes_dest and active_lanes \
                 and spec.pipe.value in DATAPATH_PIPES:
             self.datapath_counter += 1
         if self.observer is not None:
@@ -391,10 +391,10 @@ class Warp:
         pc = entry.pc
         target = self.kernel.labels[instruction.target]
         not_taken = active & ~taken
-        if not taken.any():
+        if not np.count_nonzero(taken):
             entry.pc = pc + 1
             return
-        if not not_taken.any():
+        if not np.count_nonzero(not_taken):
             entry.pc = target
             return
         if instruction.reconverge is not None:
@@ -703,20 +703,17 @@ def global_access_profile(addresses: np.ndarray, mask: np.ndarray,
     :meth:`MemorySpace.transactions` called per part.  ``segments`` is
     the sorted tuple of all distinct segment indices (for the SM cache
     model).  ``addresses`` must already be masked-safe (inactive lanes
-    zeroed); previously this took two ``np.unique`` passes per part.
+    zeroed) uint32 words; the high part of a wide access wraps at 2**32
+    like the uint32 address arithmetic it models.
     """
-    if not mask.any():
+    active = addresses[mask].tolist()
+    if not active:
         return 0, ()
-    active = addresses[mask]
-    low = np.unique(active // 32)
-    if wide:
-        high = np.unique((active + 1) // 32)
-        transactions = int(low.size + high.size)
-        segments = np.union1d(low, high)
-    else:
-        transactions = int(low.size)
-        segments = low
-    return transactions, tuple(int(s) for s in segments)
+    low = {address >> 5 for address in active}
+    if not wide:
+        return len(low), tuple(sorted(low))
+    high = {((address + 1) & 0xFFFF_FFFF) >> 5 for address in active}
+    return len(low) + len(high), tuple(sorted(low | high))
 
 
 def shared_bank_conflicts(addresses: np.ndarray, mask: np.ndarray,
@@ -725,21 +722,25 @@ def shared_bank_conflicts(addresses: np.ndarray, mask: np.ndarray,
 
     Lanes reading the same address broadcast (one access), so each
     32-bit part counts *distinct* addresses per bank, maximized over
-    the 32 banks; wide accesses sum their two parts.
+    the 32 banks; wide accesses sum their two parts (the high part's
+    address wraps at 2**32, as uint32 arithmetic does).
     """
-    if not mask.any():
+    active = addresses[mask].tolist()
+    if not active:
         return 0
-    active = addresses[mask]
-    conflicts = _max_addresses_per_bank(active)
+    conflicts = _max_addresses_per_bank(set(active))
     if wide:
-        conflicts += _max_addresses_per_bank(active + 1)
+        conflicts += _max_addresses_per_bank(
+            {(address + 1) & 0xFFFF_FFFF for address in active})
     return conflicts
 
 
-def _max_addresses_per_bank(active: np.ndarray) -> int:
-    unique_addresses = np.unique(active)
-    __, counts = np.unique(unique_addresses % 32, return_counts=True)
-    return int(counts.max())
+def _max_addresses_per_bank(distinct) -> int:
+    """The most distinct word addresses any one of the 32 banks serves."""
+    per_bank = [0] * 32
+    for address in distinct:
+        per_bank[address & 31] += 1
+    return max(per_bank)
 
 
 def _shift_mask(values: np.ndarray) -> np.ndarray:

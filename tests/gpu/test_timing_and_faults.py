@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.ecc import SecDedDpSwap, DetectOnlySwap, ResidueCode
 from repro.errors import SimulationError
 from repro.gpu import (Device, FaultPlan, LaunchConfig, MemorySpace,
                        ResilienceState, TimingParams, assemble,
                        run_functional)
+from repro.gpu.isa import Pipe
 
 
 def simple_kernel(body="IADD R1, R1, 1"):
@@ -268,3 +271,137 @@ class TestAccessProfiles:
         addresses = np.zeros(32, dtype=np.uint32)
         assert shared_bank_conflicts(
             addresses, np.zeros(32, dtype=bool), wide=False) == 0
+
+
+def _reference_bank_conflicts(addresses, mask, wide):
+    """The two-``np.unique`` bank-conflict count the one-pass one replaced."""
+    def max_addresses_per_bank(active):
+        unique_addresses = np.unique(active)
+        __, counts = np.unique(unique_addresses % 32, return_counts=True)
+        return int(counts.max())
+
+    if not mask.any():
+        return 0
+    active = addresses[mask]
+    conflicts = max_addresses_per_bank(active)
+    if wide:
+        conflicts += max_addresses_per_bank(active + 1)
+    return conflicts
+
+
+def _reference_global_profile(addresses, mask, wide):
+    """The ``np.unique``/``union1d`` coalescing profile, for comparison."""
+    if not mask.any():
+        return 0, ()
+    active = addresses[mask]
+    low = np.unique(active // 32)
+    if wide:
+        high = np.unique((active + 1) // 32)
+        transactions = int(low.size + high.size)
+        segments = np.union1d(low, high)
+    else:
+        transactions = int(low.size)
+        segments = low
+    return transactions, tuple(int(s) for s in segments)
+
+
+#: per-lane addresses: a dense window (bank conflicts, broadcasts), the
+#: whole uint32 range, and the top of it (the wide part's wrap to 0)
+LANE_ADDRESS = st.one_of(st.integers(0, 127), st.integers(0, 2**32 - 1),
+                         st.integers(2**32 - 64, 2**32 - 1))
+ACCESS = st.tuples(st.lists(LANE_ADDRESS, min_size=32, max_size=32),
+                   st.lists(st.booleans(), min_size=32, max_size=32),
+                   st.booleans())
+ALL_LANES = [True] * 32
+#: all-lanes broadcast, empty mask, and the uint32 wrap, narrow and wide
+EDGE_ACCESSES = [([5] * 32, ALL_LANES, False), ([5] * 32, ALL_LANES, True),
+                 (list(range(32)), [False] * 32, True),
+                 ([0xFFFF_FFFF] * 16 + [0] * 16, ALL_LANES, True),
+                 ([0xFFFF_FFFF - lane for lane in range(32)], ALL_LANES,
+                  True)]
+
+
+def _with_edges(test):
+    for access in EDGE_ACCESSES:
+        test = example(access)(test)
+    return given(ACCESS)(test)
+
+
+def _arrays(access):
+    addresses, mask, wide = access
+    return (np.array(addresses, dtype=np.uint32),
+            np.array(mask, dtype=bool), wide)
+
+
+class TestAccessProfileEquivalence:
+    """The one-pass profiles equal the ``np.unique`` ones they replaced."""
+
+    @_with_edges
+    def test_bank_conflicts_match_reference(self, access):
+        from repro.gpu.warp import shared_bank_conflicts
+        addresses, mask, wide = _arrays(access)
+        assert shared_bank_conflicts(addresses, mask, wide) == \
+            _reference_bank_conflicts(addresses, mask, wide)
+
+    @_with_edges
+    def test_global_profile_matches_reference(self, access):
+        from repro.gpu.warp import global_access_profile
+        addresses, mask, wide = _arrays(access)
+        assert global_access_profile(addresses, mask, wide) == \
+            _reference_global_profile(addresses, mask, wide)
+
+
+class TestSchedulerSkip:
+    """``_skip_to_next_event`` when no warp issued in a cycle."""
+
+    def _slot(self, next_free):
+        from repro.gpu.sm import StreamingMultiprocessor, _Slot
+        kernel = assemble("k", "MOV R1, 1\nEXIT")
+        params = TimingParams()
+        sm = StreamingMultiprocessor(0, params, kernel, LaunchConfig(1, 32),
+                                     MemorySpace(64), ResilienceState())
+        cta = sm._make_cta(0)
+        pipe_free = {pipe: [0] * params.pipe_units(pipe) for pipe in Pipe}
+        return sm, _Slot(cta.warps[0], cta, next_free), pipe_free
+
+    def test_jumps_to_the_earliest_ready_warp(self):
+        sm, slot, pipe_free = self._slot(next_free=9)
+        assert sm._skip_to_next_event([slot], pipe_free, 5) == 9
+        assert sm.stats.idle_cycles == 4
+
+    def test_warp_ready_now_raises(self):
+        sm, slot, pipe_free = self._slot(next_free=5)
+        with pytest.raises(SimulationError, match="ready at cycle 5") as info:
+            sm._skip_to_next_event([slot], pipe_free, 5)
+        assert info.value.code == "gpu.simulation"
+        assert info.value.context == {"cycle": 5, "earliest": 5}
+
+    def test_warp_admitted_this_cycle_issues_next_cycle(self):
+        sm, slot, pipe_free = self._slot(next_free=5)
+        assert sm._skip_to_next_event([slot], pipe_free, 5,
+                                      admitted=True) == 6
+        assert sm.stats.idle_cycles == 0
+
+    def test_admission_in_an_idle_cycle_keeps_cycle_counts(self, monkeypatch):
+        # srad_v2 under inter-thread duplication at scale 0.25 admits a
+        # CTA at the end of a cycle that issued nothing, with a warp of
+        # it ready at once; 1317 cycles is the count from before the
+        # scheduler cached slot state.
+        from repro.experiments.common import run_scheme
+        from repro.gpu.sm import StreamingMultiprocessor
+        from repro.workloads import get_workload
+        skip = StreamingMultiprocessor._skip_to_next_event
+        admissions = []
+
+        def spy(sm, slots, pipe_free, cycle, admitted=False):
+            next_cycle = skip(sm, slots, pipe_free, cycle, admitted)
+            if admitted and next_cycle == cycle + 1:
+                admissions.append(cycle)
+            return next_cycle
+
+        monkeypatch.setattr(StreamingMultiprocessor, "_skip_to_next_event",
+                            spy)
+        run = run_scheme(get_workload("srad_v2").build(scale=0.25),
+                         "interthread")
+        assert admissions
+        assert run.verified and run.cycles == 1317
