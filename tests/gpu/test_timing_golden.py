@@ -7,7 +7,9 @@ instruction mix, occupancy, verification/rejection flags and the power
 estimate.  A speed-only change to ``gpu/sm.py`` or ``gpu/warp.py`` must
 leave every one of them bit-identical.
 
-The cell subset spans the scheduler's cost drivers: a 32-warp CTA
+The cells are the whole figure grid: every ``ALL_ORDER`` program under
+every scheme of Figures 12, 15 and 16 (150 cells).  Among them,
+``DRIVER_CELLS`` name the scheduler's cost drivers: a 32-warp CTA
 (matmul), a divergent program (bfs), a multi-CTA grid (gaussian),
 Swap-ECC write-after-write shadows, fp64 (lavamd), shuffles (snap) and
 a scheme the compiler rejects.
@@ -27,16 +29,18 @@ from functools import lru_cache
 import pytest
 
 from repro.experiments.common import run_scheme
+from repro.experiments.figures_perf import (FIG12_SCHEMES, FIG15_SCHEMES,
+                                            FIG16_SCHEMES)
 from repro.gpu import Device
-from repro.workloads import get_workload
+from repro.workloads import ALL_ORDER, get_workload
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "timing_golden.json")
 SCALE = 0.1
 SEED = 0
 
-#: (program, scheme) cells, each named for what it exercises
-CELLS = (
+#: the cells each named for the scheduler cost driver it exercises
+DRIVER_CELLS = (
     ("matmul", "baseline"),       # 32 warps/CTA
     ("bfs", "swap-ecc"),          # divergence + Swap-ECC shadows
     ("bfs", "swdup"),             # divergence + duplicated checking
@@ -47,6 +51,14 @@ CELLS = (
     ("snap", "swdup"),            # shuffles
     ("snap", "interthread"),      # rejected by the compiler
 )
+
+#: every scheme any performance figure sweeps, in first-use order
+GRID_SCHEMES = tuple(dict.fromkeys(FIG12_SCHEMES + FIG15_SCHEMES +
+                                   FIG16_SCHEMES))
+
+#: (program, scheme) cells: the whole figure grid
+CELLS = tuple((program, scheme) for program in ALL_ORDER
+              for scheme in GRID_SCHEMES)
 
 
 class _RecordingDevice(Device):
@@ -107,6 +119,8 @@ def test_golden_covers_every_cell():
 
 def test_subset_spans_the_cost_drivers():
     golden = _golden()
+    assert len(CELLS) == len(ALL_ORDER) * len(GRID_SCHEMES) == 150
+    assert set(DRIVER_CELLS) <= set(CELLS)
     assert golden["snap/interthread"]["rejected"]
     assert golden["snap/interthread"]["launches"] == []
     assert golden["gaussian/baseline"]["launches"][0]["cycles"] > 0
