@@ -18,12 +18,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import InvalidArgument
-from repro.gpu.isa import DupClass, Instruction
+from repro.gpu.decode import MIX_CATEGORIES  # noqa: F401 (re-exported)
+from repro.gpu.decode import mix_category
+from repro.gpu.isa import Instruction
 from repro.inject.operands import OperandTrace
-
-#: Figure 13 stack order, bottom to top
-MIX_CATEGORIES = ("not_eligible", "checked_predicted", "checked_duplicated",
-                  "inserted", "checking")
 
 
 @dataclass
@@ -57,7 +55,11 @@ class MixCounts:
 
 
 class CodeMixProfiler:
-    """Observer counting every issued instruction into its mix category."""
+    """Observer counting every issued instruction into its mix category.
+
+    The category of each instruction is decided once per launch, in its
+    pre-decoded record (:func:`repro.gpu.decode.mix_category`).
+    """
 
     wants_values = False
 
@@ -65,30 +67,14 @@ class CodeMixProfiler:
         self.counts = MixCounts()
 
     def on_step(self, warp, info) -> None:
-        self.counts_for(info.instruction)
+        category = info.decoded.mix
+        counts = self.counts
+        setattr(counts, category, getattr(counts, category) + 1)
 
     def counts_for(self, instruction: Instruction) -> None:
-        klass = instruction.meta.get("klass", "baseline")
-        role = instruction.meta.get("role")
-        counts = self.counts
-        if klass == "checking":
-            counts.checking += 1
-        elif klass == "inserted":
-            counts.inserted += 1
-        elif klass == "duplicated":
-            counts.checked_duplicated += 1
-        elif klass == "predicted":
-            counts.checked_predicted += 1
-        else:  # baseline instruction of the original program
-            if role == "original":
-                counts.checked_duplicated += 1
-            elif role == "predicted":
-                counts.checked_predicted += 1
-            elif instruction.spec.dup_class in (DupClass.BOUNDARY,
-                                                DupClass.NEUTRAL):
-                counts.not_eligible += 1
-            else:
-                counts.plain_eligible += 1
+        """Count one dynamic instance of ``instruction``."""
+        category = mix_category(instruction)
+        setattr(self.counts, category, getattr(self.counts, category) + 1)
 
 
 #: opcode -> operand-trace kind for the six Figure 10 units

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.gpu.decode import Decoded
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
@@ -67,6 +70,7 @@ class Device:
         transactions = 0
         l1_hits = l1_misses = idle_cycles = 0
         halted = None
+        program = Warp.decode(kernel)
         for sm_index in range(self.params.num_sms):
             cta_indices = list(range(sm_index, launch.grid_ctas,
                                      self.params.num_sms))
@@ -74,7 +78,7 @@ class Device:
                 continue
             sm = StreamingMultiprocessor(
                 sm_index, self.params, kernel, launch, global_memory,
-                state, observer, watchdog)
+                state, observer, watchdog, program)
             try:
                 sm_cycles = sm.run(cta_indices)
             except KernelHalt as halt:
@@ -106,7 +110,8 @@ def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
                        observer=None,
                        watchdog: Optional[Watchdog] = None,
                        register_count: Optional[int] = None,
-                       step_limit: Optional[int] = None) -> int:
+                       step_limit: Optional[int] = None,
+                       program: Optional[Sequence[Decoded]] = None) -> int:
     """Run one CTA functionally to completion; returns steps executed.
 
     The building block under :func:`run_functional` and the recovery
@@ -120,13 +125,17 @@ def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
     ``step_limit`` stops cleanly after that many steps — the containment
     auditor uses it to replay exactly the executed prefix of a detected
     run.  Scheduling is deterministic, which is what makes that replay
-    comparable word for word.
+    comparable word for word.  ``program`` is the kernel's pre-decoded
+    stream when the caller runs several CTAs of one launch (decoded
+    here otherwise).
     """
     from repro.errors import SimulationError
 
     state = resilience if resilience is not None else ResilienceState()
     if register_count is None:
         register_count = max(kernel.register_count(), 1)
+    if program is None:
+        program = Warp.decode(kernel)
     shared = None
     if launch.shared_words_per_cta:
         shared = MemorySpace(launch.shared_words_per_cta,
@@ -138,43 +147,44 @@ def run_functional_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
         threads_left -= count
         warp = Warp(kernel, cta_index, warp_index, count,
                     launch.threads_per_cta, launch.grid_ctas,
-                    register_count, global_memory, shared, state)
+                    register_count, global_memory, shared, state, program)
         warp.observer = observer
         warps.append(warp)
     steps = 0
-    while True:
-        progressed = False
-        barrier_waiters = 0
-        for warp in warps:
-            if warp.done:
-                continue
-            if warp.at_barrier:
-                barrier_waiters += 1
-                continue
-            # Run this warp until it blocks or finishes.
-            while not warp.done and not warp.at_barrier:
-                if step_limit is not None and steps >= step_limit:
-                    return steps
-                if warp.step() is None:
-                    break
-                progressed = True
-                steps += 1
-                if watchdog is not None:
-                    watchdog.tick(cta_index, warp.warp_index)
-        if all(warp.done for warp in warps):
-            return steps
-        if not progressed:
-            released = False
-            if barrier_waiters:
-                live = [w for w in warps if not w.done]
-                if live and all(w.at_barrier for w in live):
-                    for warp in live:
-                        warp.at_barrier = False
-                    released = True
-            if not released:
-                raise SimulationError(
-                    f"{kernel.name}: functional deadlock in CTA "
-                    f"{cta_index}")
+    with np.errstate(all="ignore"):
+        while True:
+            progressed = False
+            barrier_waiters = 0
+            for warp in warps:
+                if warp.done:
+                    continue
+                if warp.at_barrier:
+                    barrier_waiters += 1
+                    continue
+                # Run this warp until it blocks or finishes.
+                while not warp.done and not warp.at_barrier:
+                    if step_limit is not None and steps >= step_limit:
+                        return steps
+                    if warp.step() is None:
+                        break
+                    progressed = True
+                    steps += 1
+                    if watchdog is not None:
+                        watchdog.tick(cta_index, warp.warp_index)
+            if all(warp.done for warp in warps):
+                return steps
+            if not progressed:
+                released = False
+                if barrier_waiters:
+                    live = [w for w in warps if not w.done]
+                    if live and all(w.at_barrier for w in live):
+                        for warp in live:
+                            warp.at_barrier = False
+                        released = True
+                if not released:
+                    raise SimulationError(
+                        f"{kernel.name}: functional deadlock in CTA "
+                        f"{cta_index}")
 
 
 def run_functional(kernel: Kernel, launch: LaunchConfig,
@@ -197,6 +207,7 @@ def run_functional(kernel: Kernel, launch: LaunchConfig,
     kernel.validate()
     state = resilience if resilience is not None else ResilienceState()
     register_count = max(kernel.register_count(), 1)
+    program = Warp.decode(kernel)
     if watchdog is None:
         watchdog = Watchdog(WatchdogConfig(max_steps=max_steps),
                             name=kernel.name)
@@ -204,7 +215,8 @@ def run_functional(kernel: Kernel, launch: LaunchConfig,
     try:
         for cta_index in range(launch.grid_ctas):
             run_functional_cta(kernel, launch, cta_index, global_memory,
-                               state, observer, watchdog, register_count)
+                               state, observer, watchdog, register_count,
+                               program=program)
     except KernelHalt:
         return state
     return state

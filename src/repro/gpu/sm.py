@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError
-from repro.gpu.isa import OPCODES, Instruction, OperandKind, Pipe
+from repro.gpu.decode import Decoded
+from repro.gpu.isa import Pipe
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState
@@ -41,11 +44,10 @@ class SmStats:
     l1_hits: int = 0
     l1_misses: int = 0
 
-    def count(self, pipe: Pipe) -> None:
-        """Tally one issued instruction against its pipe."""
+    def count(self, pipe: str) -> None:
+        """Tally one issued instruction against its pipe (by name)."""
         self.issued += 1
-        self.issued_by_pipe[pipe.value] = \
-            self.issued_by_pipe.get(pipe.value, 0) + 1
+        self.issued_by_pipe[pipe] = self.issued_by_pipe.get(pipe, 0) + 1
 
 
 class L1Cache:
@@ -66,6 +68,11 @@ class L1Cache:
             self._lines.pop(next(iter(self._lines)))
         self._lines[segment] = None
         return hit
+
+
+#: scoreboard sizes: every register index below RZ, every predicate
+_REGISTER_SLOTS = 256
+_PREDICATE_SLOTS = 8
 
 
 class _Cta:
@@ -93,29 +100,32 @@ class _Slot:
     """Scheduler state for one resident warp.
 
     Besides the scoreboard, a slot caches what the scheduler asks of its
-    warp every cycle: the instruction at the top of its SIMT stack, the
-    units of that instruction's pipe, and the cycle its operands are
-    ready.  All of it changes only when this warp steps (the scoreboard
-    is written by the same issue), so a step marks the cache ``stale``
-    and :meth:`refresh` recomputes it on the scheduler's next visit.
+    warp every cycle: the runnable stack entry, the decoded instruction
+    at its pc, the units of that instruction's pipe, and the cycle its
+    operands are ready.  All of it changes only when this warp steps
+    (the scoreboard is written by the same issue), so a step marks the
+    cache ``stale`` and :meth:`refresh` recomputes it on the scheduler's
+    next visit.  The scoreboard is indexed by register and predicate
+    number: ``reg_ready[r]`` is the cycle register ``r`` is written back.
     """
 
     __slots__ = ("warp", "cta", "reg_ready", "pred_ready", "next_free",
-                 "stale", "instruction", "units", "ready")
+                 "stale", "entry", "decoded", "units", "ready")
 
     def __init__(self, warp: Warp, cta: _Cta, next_free: int):
         self.warp = warp
         self.cta = cta
-        self.reg_ready: Dict[int, int] = {}
-        self.pred_ready: Dict[int, int] = {}
+        self.reg_ready: List[int] = [0] * _REGISTER_SLOTS
+        self.pred_ready: List[int] = [0] * _PREDICATE_SLOTS
         self.next_free = next_free
         self.stale = True
-        self.instruction: Optional[Instruction] = None
+        self.entry: Optional[StackEntry] = None
+        self.decoded: Optional[Decoded] = None
         self.units: List[int] = []
         self.ready = 0
 
-    def refresh(self, instructions: List[Instruction],
-                pipe_free: Dict[Pipe, List[int]]) -> Optional[StackEntry]:
+    def refresh(self, pipe_free: Dict[Pipe, List[int]]
+                ) -> Optional[StackEntry]:
         """Recompute the cached issue state; None once the warp is done.
 
         Called lazily — on the first visit after a step, never right
@@ -126,25 +136,28 @@ class _Slot:
         its CTA a cycle early.
         """
         self.stale = False
-        entry = self.warp.current_entry()
+        entry = self.entry = self.warp.current_entry()
         if entry is not None:
-            instruction = self.instruction = instructions[entry.pc]
-            self.units = pipe_free[instruction.spec.pipe]
-            self.ready = self.ready_cycle(instruction)
+            decoded = self.decoded = self.warp.program[entry.pc]
+            self.units = pipe_free[decoded.pipe]
+            self.ready = self.ready_cycle(decoded)
         return entry
 
-    def ready_cycle(self, instruction: Instruction) -> int:
-        """Earliest cycle this instruction's operands are all available."""
+    def ready_cycle(self, decoded: Decoded) -> int:
+        """Earliest cycle this instruction's operands are all available.
+
+        Predicated execution reads the guard predicate and SEL reads one
+        too; both are in ``decoded.pred_reads``.
+        """
         ready = self.next_free
-        for register in instruction.source_registers():
-            ready = max(ready, self.reg_ready.get(register, 0))
-        # Predicated execution reads the guard predicate; SEL reads one too.
-        if instruction.predicate is not None:
-            ready = max(ready,
-                        self.pred_ready.get(instruction.predicate, 0))
-        for operand in instruction.sources:
-            if operand.kind is OperandKind.PREDICATE:
-                ready = max(ready, self.pred_ready.get(operand.value, 0))
+        reg_ready = self.reg_ready
+        for register in decoded.src_regs:
+            if reg_ready[register] > ready:
+                ready = reg_ready[register]
+        pred_ready = self.pred_ready
+        for index in decoded.pred_reads:
+            if pred_ready[index] > ready:
+                ready = pred_ready[index]
         # Write-after-write needs no issue stall: the in-order pipeline
         # retires same-register writes in order (Section III-A), so a
         # Swap-ECC shadow issues right behind its original.  Readers wait
@@ -157,7 +170,8 @@ class StreamingMultiprocessor:
 
     def __init__(self, sm_index: int, params: TimingParams, kernel: Kernel,
                  launch: LaunchConfig, global_memory: MemorySpace,
-                 resilience: ResilienceState, observer=None, watchdog=None):
+                 resilience: ResilienceState, observer=None, watchdog=None,
+                 program: Optional[Sequence[Decoded]] = None):
         self.sm_index = sm_index
         self.params = params
         self.kernel = kernel
@@ -169,6 +183,11 @@ class StreamingMultiprocessor:
         self.stats = SmStats()
         self.register_count = max(kernel.register_count(), 1)
         self.l1 = L1Cache(params.l1_lines)
+        #: the launch's pre-decoded instruction stream (shared by its SMs)
+        self.program = program if program is not None \
+            else Warp.decode(kernel)
+        #: some warp finished since CTA retirement last looked
+        self._retiring = False
 
     # ------------------------------------------------------------------
     def _make_cta(self, cta_index: int) -> _Cta:
@@ -184,18 +203,29 @@ class StreamingMultiprocessor:
             warp = Warp(self.kernel, cta_index, warp_index, count,
                         self.launch.threads_per_cta, self.launch.grid_ctas,
                         self.register_count, self.global_memory, shared,
-                        self.resilience)
+                        self.resilience, self.program)
             warp.observer = self.observer
             warps.append(warp)
         return _Cta(cta_index, warps)
 
     # ------------------------------------------------------------------
     def run(self, cta_indices: List[int]) -> int:
-        """Run the given CTAs to completion; returns total cycles."""
+        """Run the given CTAs to completion; returns total cycles.
+
+        The whole issue loop runs under ``np.errstate(all="ignore")``:
+        IEEE special results of the simulated arithmetic (division by
+        zero, overflow, NaN casts) are data, not host warnings.
+        """
+        with np.errstate(all="ignore"):
+            cycle = self._schedule(list(cta_indices))
+        self.stats.cycles = cycle
+        return cycle
+
+    def _schedule(self, pending: List[int]) -> int:
+        """The issue loop behind :meth:`run`; returns total cycles."""
         occupancy = self.params.occupancy(self.kernel, self.launch)
         issue_width = self.params.issue_width
-        instructions = self.kernel.instructions
-        pending = list(cta_indices)
+        watchdog = self.watchdog
         slots: List[_Slot] = []
         ctas: List[_Cta] = []
         pipe_free: Dict[Pipe, List[int]] = {
@@ -224,75 +254,76 @@ class StreamingMultiprocessor:
                 warp = slot.warp
                 if warp.done or warp.at_barrier:
                     continue
-                if slot.stale and \
-                        slot.refresh(instructions, pipe_free) is None:
+                if slot.stale and slot.refresh(pipe_free) is None:
+                    self._retiring = True
                     continue
                 if slot.ready > cycle or min(slot.units) > cycle:
                     continue
-                info = warp.step()
+                info = warp.step(slot.entry)
                 slot.stale = True
                 issued += 1
-                if self.watchdog is not None:
-                    self.watchdog.tick(slot.cta.cta_index, warp.warp_index)
+                if watchdog is not None:
+                    watchdog.tick(slot.cta.cta_index, warp.warp_index)
                 rr_pointer = (position + 1) % count
                 self._account(slot, info, cycle)
                 if info.barrier:
                     slot.cta.barrier_release()
 
-            # Retire finished CTAs and admit new ones.
+            # Retire finished CTAs and admit new ones.  A CTA can only
+            # have finished if one of its warps did since the last look.
             admitted = False
-            finished = [cta for cta in ctas if cta.done]
-            if finished:
-                for cta in finished:
-                    ctas.remove(cta)
-                slots = [slot for slot in slots if not slot.warp.done]
-                rr_pointer = 0
-                admitted = admit()
+            if self._retiring:
+                self._retiring = False
+                finished = [cta for cta in ctas if cta.done]
+                if finished:
+                    for cta in finished:
+                        ctas.remove(cta)
+                    slots = [slot for slot in slots if not slot.warp.done]
+                    rr_pointer = 0
+                    admitted = admit()
 
             if not slots and not pending:
                 break
             if issued:
                 cycle += 1
             else:
-                if self.watchdog is not None:
-                    self.watchdog.check_deadline()
+                if watchdog is not None:
+                    watchdog.check_deadline()
                 cycle = self._skip_to_next_event(slots, pipe_free, cycle,
                                                  admitted)
-        self.stats.cycles = cycle
         return cycle
 
     # ------------------------------------------------------------------
     def _account(self, slot: _Slot, info, cycle: int) -> None:
-        instruction = slot.instruction
-        spec = instruction.spec
-        pipe = spec.pipe
-        interval = spec.initiation_interval
-        latency = spec.latency
-        if pipe is Pipe.LSU:
+        decoded = slot.decoded
+        interval = decoded.interval
+        latency = decoded.latency
+        if decoded.lsu:
             transactions = max(1, info.transactions)
             interval = interval + self.params.lsu_cycles_per_transaction * \
                 (transactions - 1)
-            if info.segments:
-                hits = sum(self.l1.access(segment)
-                           for segment in info.segments)
-                misses = len(info.segments) - hits
+            segments = info.segments
+            if segments:
+                hits = sum(self.l1.access(segment) for segment in segments)
+                misses = len(segments) - hits
                 self.stats.l1_hits += hits
                 self.stats.l1_misses += misses
-                if instruction.op in ("LDG", "ATOM") and misses == 0:
+                if decoded.l1_load and misses == 0:
                     latency = self.params.l1_hit_latency
             latency = latency + 2 * (transactions - 1)
             self.stats.memory_transactions += transactions
         units = slot.units
-        unit = min(range(len(units)), key=units.__getitem__)
-        units[unit] = cycle + interval
+        # the first free unit of the pipe takes the instruction
+        units[units.index(min(units))] = cycle + interval
         slot.next_free = cycle + 1
-        for register in instruction.dest_registers():
-            slot.reg_ready[register] = max(
-                slot.reg_ready.get(register, 0), cycle + latency)
-        if instruction.dest is not None and \
-                instruction.dest.kind is OperandKind.PREDICATE:
-            slot.pred_ready[instruction.dest.value] = cycle + latency
-        self.stats.count(pipe)
+        written = cycle + latency
+        reg_ready = slot.reg_ready
+        for register in decoded.dst_regs:
+            if reg_ready[register] < written:
+                reg_ready[register] = written
+        if decoded.pred_dest is not None:
+            slot.pred_ready[decoded.pred_dest] = written
+        self.stats.count(decoded.pipe_name)
 
     def _skip_to_next_event(self, slots: List[_Slot],
                             pipe_free: Dict[Pipe, List[int]],
@@ -306,14 +337,13 @@ class StreamingMultiprocessor:
         means the issue loop and the cached slot state disagree, and it
         raises :class:`~repro.errors.SimulationError`.
         """
-        instructions = self.kernel.instructions
         candidates = []
         for slot in slots:
             warp = slot.warp
             if warp.done or warp.at_barrier:
                 continue
-            if slot.stale and \
-                    slot.refresh(instructions, pipe_free) is None:
+            if slot.stale and slot.refresh(pipe_free) is None:
+                self._retiring = True
                 continue
             candidates.append(max(slot.ready, min(slot.units)))
         if not candidates:

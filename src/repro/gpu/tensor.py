@@ -20,7 +20,9 @@ The pieces that make that hold:
   masks carry the union of every trial's lanes on that path, and a
   trial simply has no active lanes in steps its scalar run would not
   execute.  Instruction semantics inherit unchanged from
-  :class:`~repro.gpu.warp.Warp` — they are already width-agnostic.
+  :class:`~repro.gpu.warp.Warp` — they are already width-agnostic — and
+  run from the same pre-decoded stream (:mod:`repro.gpu.decode`),
+  decoded once per batched launch for this class.
 * **Per-trial memory.**  :class:`TrialMemory` tiles the launch image
   ``trials`` times in one flat uint32 array and offsets every lane's
   address by its trial's base, so stores never leak across trials and
@@ -60,12 +62,12 @@ import numpy as np
 
 from repro.ecc.vectorized import READ_CORRECTED, READ_DUE
 from repro.errors import SimulationError
-from repro.gpu.isa import PT, WARP_SIZE, Instruction, OperandKind
+from repro.gpu.decode import Decoded
+from repro.gpu.isa import PT, WARP_SIZE
 from repro.gpu.memory import MemorySpace
 from repro.gpu.program import Kernel, LaunchConfig
 from repro.gpu.resilience import ResilienceState, TaintTracker
-from repro.gpu.warp import (DATAPATH_PIPES, StackEntry, Warp,
-                            apply_fault_strike)
+from repro.gpu.warp import StackEntry, Warp, apply_fault_strike
 
 #: outcome labels a batched trial can finish with
 TRIAL_OK = "ok"            #: ran to completion (state may hold events)
@@ -321,8 +323,9 @@ class TrialWarp(Warp):
     State vectors are ``(trials * 32,)`` wide; flat lane ``l`` belongs
     to trial ``l // 32`` at local lane ``l % 32``.  Instruction
     semantics inherit from :class:`~repro.gpu.warp.Warp` unchanged —
-    only the trial-aware pieces are overridden: per-trial fault gating,
-    per-trial detection halts, per-trial crash/hang termination,
+    only the trial-aware handlers and hooks are overridden: per-trial
+    fault gating, per-trial detection halts (``BPT``, tainted reads),
+    per-trial crash/hang termination, divergent-barrier flagging,
     trial-blocked SHFL lane arithmetic, and trial-offset memory access.
     """
 
@@ -330,9 +333,12 @@ class TrialWarp(Warp):
                  thread_count: int, threads_per_cta: int, grid_ctas: int,
                  register_count: int, global_memory: TrialMemory,
                  shared_memory: Optional[TrialMemory],
-                 states: Sequence[ResilienceState], batch: TrialBatch):
+                 states: Sequence[ResilienceState], batch: TrialBatch,
+                 program: Optional[Sequence[Decoded]] = None):
         trials = batch.trials
         self.kernel = kernel
+        self.program = program if program is not None \
+            else self.decode(kernel)
         self.cta_index = cta_index
         self.warp_index = warp_index
         self.global_memory = global_memory
@@ -352,6 +358,7 @@ class TrialWarp(Warp):
             & batch.lanes_live
         self.stack: List[StackEntry] = [
             StackEntry(0, self.alive.copy(), None)]
+        self.active = self.alive
         self.at_barrier = False
         self.done = False
         #: per-trial datapath occurrence counters, ``(trials,)`` int64
@@ -413,7 +420,8 @@ class TrialWarp(Warp):
         Running off the end of the kernel — the scalar ``missing EXIT?``
         :class:`~repro.errors.SimulationError` — crashes exactly the
         trials whose lanes sit in the offending entry; everyone else
-        keeps executing.
+        keeps executing.  Like the scalar fetch, it leaves the top's
+        active lanes in ``self.active``.
         """
         while self.stack:
             top = self.stack[-1]
@@ -424,10 +432,11 @@ class TrialWarp(Warp):
             if not mask.any():
                 self.stack.pop()
                 continue
-            if top.pc >= len(self.kernel.instructions):
+            if top.pc >= len(self.program):
                 for trial in self._trials_of(mask):
                     self.batch.finish(int(trial), TRIAL_CRASH)
                 continue
+            self.active = mask
             return top
         self.done = True
         return None
@@ -467,9 +476,8 @@ class TrialWarp(Warp):
                              pc, f"R{register} lane {lane % WARP_SIZE}")
                 self.regs[register][lane] = int(data) & 0xFFFF_FFFF
 
-    def _maybe_inject_fault(self, instruction: Instruction,
-                            values: np.ndarray, mask: np.ndarray,
-                            is_64bit: bool):
+    def _maybe_inject_fault(self, rec: Decoded, values: np.ndarray,
+                            mask: np.ndarray, is_64bit: bool):
         """Fire each trial's plan on its own 32-lane slice when due.
 
         The placement gate is vectorized over trials (one boolean
@@ -478,7 +486,7 @@ class TrialWarp(Warp):
         :func:`~repro.gpu.warp.apply_fault_strike` on the slice, with
         taint keys and protections offset back to flat lanes.
         """
-        if instruction.spec.pipe.value not in DATAPATH_PIPES:
+        if not rec.datapath:
             return values, set()
         due = (~self._fired
                & (self._plan_cta == self.cta_index)
@@ -487,8 +495,8 @@ class TrialWarp(Warp):
                & self.batch.live)
         if not due.any():
             return values, set()
-        role = instruction.meta.get("role")
-        dest = instruction.dest.value
+        role = rec.role
+        dest = rec.dest_reg
         protected = set()
         values = values.copy()
         for trial in np.nonzero(due)[0]:
@@ -522,46 +530,24 @@ class TrialWarp(Warp):
         if entry is None:
             return None
         pc = entry.pc
-        instruction = self.kernel.instructions[pc]
-        active = entry.mask & self.alive & self.batch.lanes_live
+        rec = self.program[pc]
+        active = self.active
         trial_active = active.reshape(self.trials, WARP_SIZE).any(axis=1)
-        if instruction.predicate is not None:
-            pred_mask = self.preds[instruction.predicate]
-            if instruction.predicate_negated:
-                pred_mask = ~pred_mask
-            exec_mask = active & pred_mask
-        else:
+        predicate = rec.predicate
+        if predicate is None:
             exec_mask = active
-
-        op = instruction.op
-        spec = instruction.spec
-        if op == "BRA":
-            self._exec_branch(entry, instruction, active, exec_mask)
-        elif op == "EXIT":
-            self.alive &= ~exec_mask
-            entry.pc = pc + 1
-        elif op == "BAR":
-            entry.pc = pc + 1
-            self._exec_barrier(active)
-        elif op == "BPT":
-            entry.pc = pc + 1
-            exec_trials = exec_mask.reshape(
-                self.trials, WARP_SIZE).any(axis=1)
-            for trial in np.nonzero(exec_trials & self.batch.live)[0]:
-                trial = int(trial)
-                state = self.states[trial]
-                state.record("trap", self.cta_index, self.warp_index, pc,
-                             "BPT")
-                if state.halt_on_detect:
-                    self.batch.finish(trial, TRIAL_HALT)
-        elif op == "NOP":
-            entry.pc = pc + 1
+        elif rec.predicate_negated:
+            exec_mask = active & ~self.preds[predicate]
         else:
-            entry.pc = pc + 1
-            if exec_mask.any():
-                self._exec_data(instruction, exec_mask)
+            exec_mask = active & self.preds[predicate]
 
-        if spec.writes_dest and spec.pipe.value in DATAPATH_PIPES:
+        entry.pc = pc + 1
+        if rec.control:
+            rec.execute(self, rec, entry, active, exec_mask)
+        elif exec_mask.any():
+            rec.execute(self, rec, exec_mask)
+
+        if rec.advances:
             exec_trials = exec_mask.reshape(
                 self.trials, WARP_SIZE).any(axis=1)
             # Trials halted mid-instruction never reach the scalar
@@ -569,7 +555,20 @@ class TrialWarp(Warp):
             self.datapath_counter[exec_trials & self.batch.live] += 1
         return trial_active
 
-    def _exec_barrier(self, active: np.ndarray) -> None:
+    def _exec_trap(self, rec: Decoded, entry: StackEntry,
+                   active: np.ndarray, mask: np.ndarray) -> None:
+        """``BPT``: record a trap (and halt) in each executing live trial."""
+        exec_trials = mask.reshape(self.trials, WARP_SIZE).any(axis=1)
+        for trial in np.nonzero(exec_trials & self.batch.live)[0]:
+            trial = int(trial)
+            state = self.states[trial]
+            state.record("trap", self.cta_index, self.warp_index, rec.pc,
+                         "BPT")
+            if state.halt_on_detect:
+                self.batch.finish(trial, TRIAL_HALT)
+
+    def _exec_barrier(self, rec: Decoded, entry: StackEntry,
+                      active: np.ndarray, mask: np.ndarray) -> None:
         """Arrive at a BAR; flag cross-trial divergent arrivals.
 
         A trial whose lanes are alive in this warp but absent from the
@@ -588,34 +587,22 @@ class TrialWarp(Warp):
                               reason="divergent_barrier")
         self.at_barrier = True
 
-    def _exec_shfl(self, instruction: Instruction,
-                   mask: np.ndarray) -> None:
+    def _exec_shfl(self, rec: Decoded, mask: np.ndarray) -> None:
         """Warp shuffle with lane arithmetic inside each trial's block."""
-        value = self.read_u32(instruction.sources[0], mask)
-        amount = self.read_u32(instruction.sources[1],
-                               mask).astype(np.int64)
+        value = self.read_u32(rec.srcs[0], mask)
+        amount = self.read_u32(rec.srcs[1], mask).astype(np.int64)
         flat = np.arange(self.width, dtype=np.int64)
         local = flat % WARP_SIZE
         base = flat - local
-        modifiers = instruction.meta.get("modifiers", [])
-        if "BFLY" in modifiers:
-            source_local = local ^ amount
-        elif "UP" in modifiers:
-            source_local = local - amount
-        elif "DOWN" in modifiers:
-            source_local = local + amount
-        else:  # IDX
-            source_local = amount
+        source_local = rec.fn(local, amount)
         valid = (source_local >= 0) & (source_local < WARP_SIZE)
         source_lane = np.where(valid, base + source_local, flat)
         gathered = value[source_lane]
         src_active = mask[source_lane]
         result = np.where(valid & src_active, gathered, value)
-        self.write_result(instruction, result.astype(np.uint32), mask,
-                          False)
+        self.write_result(rec, result.astype(np.uint32), mask, False)
 
-    def _exec_memory(self, instruction: Instruction,
-                     mask: np.ndarray) -> int:
+    def _exec_memory(self, rec: Decoded, mask: np.ndarray) -> int:
         """Trial-offset memory access with per-trial crash containment.
 
         An out-of-bounds lane address — the scalar oracle's
@@ -623,25 +610,14 @@ class TrialWarp(Warp):
         trial: its lanes drop out before any word is read or written,
         and every in-range trial proceeds.
         """
-        op = instruction.op
-        srcs = instruction.sources
-        modifiers = instruction.meta.get("modifiers", [])
-        space = self.global_memory if op in ("LDG", "STG", "ATOM") \
+        space = self.global_memory if rec.global_space \
             else self.shared_memory
         if space is None:
-            raise SimulationError(f"{op} executed without shared memory")
-        wide = "64" in modifiers or (
-            instruction.dest is not None
-            and instruction.dest.kind is OperandKind.REGISTER64) or (
-            op in ("STG", "STS")
-            and srcs[1].kind is OperandKind.REGISTER64)
-
-        if op in ("STG", "STS", "ATOM"):
-            address_operand, value_operand = srcs[0], srcs[1]
-        else:
-            address_operand, value_operand = srcs[0], None
-        addresses = self.read_u32(address_operand, mask).astype(np.int64) \
-            + instruction.offset
+            raise SimulationError(f"{rec.op} executed without shared memory")
+        wide = rec.wide
+        srcs = rec.srcs
+        addresses = self.read_u32(srcs[0], mask).astype(np.int64) \
+            + rec.offset
         mask = mask & self.batch.lanes_live  # address read may halt trials
         checked = np.where(mask, addresses, 0).astype(np.uint32)
         parts = [checked]
@@ -653,18 +629,19 @@ class TrialWarp(Warp):
         if not mask.any():
             return 0
 
-        if op in ("LDG", "LDS"):
+        kind = rec.mem_kind
+        if kind == "load":
             low = space.gather(checked, mask)
             if wide:
                 high = space.gather(parts[1], mask)
                 value = low.astype(np.uint64) | (
                     high.astype(np.uint64) << np.uint64(32))
-                self.write_result(instruction, value, mask, True)
+                self.write_result(rec, value, mask, True)
             else:
-                self.write_result(instruction, low, mask, False)
-        elif op in ("STG", "STS"):
+                self.write_result(rec, low, mask, False)
+        elif kind == "store":
             if wide:
-                value = self.read_u64(value_operand, mask)
+                value = self.read_u64(srcs[1], mask)
                 mask = mask & self.batch.lanes_live
                 space.scatter(checked,
                               (value & np.uint64(0xFFFF_FFFF)).astype(
@@ -673,16 +650,14 @@ class TrialWarp(Warp):
                               (value >> np.uint64(32)).astype(np.uint32),
                               mask)
             else:
-                value = self.read_u32(value_operand, mask)
+                value = self.read_u32(srcs[1], mask)
                 mask = mask & self.batch.lanes_live
                 space.scatter(checked, value, mask)
-        else:  # ATOM
-            atom_op = next(m for m in modifiers
-                           if m in ("ADD", "MAX", "MIN", "EXCH"))
-            value = self.read_u32(value_operand, mask)
+        else:  # atom
+            value = self.read_u32(srcs[1], mask)
             mask = mask & self.batch.lanes_live
-            old = space.atomic(atom_op, checked, value, mask)
-            self.write_result(instruction, old, mask, False)
+            old = space.atomic(rec.atom_op, checked, value, mask)
+            self.write_result(rec, old, mask, False)
         return 0
 
 
@@ -748,19 +723,21 @@ def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
     memory = TrialMemory(image, trials)
     if register_count is None:
         register_count = max(kernel.register_count(), 1)
+    program = TrialWarp.decode(kernel)
 
-    for cta_index in range(launch.grid_ctas):
-        if not batch.live.any():
-            break
-        try:
-            _run_cta(kernel, launch, cta_index, memory, states, batch,
-                     register_count)
-        except SimulationError:
-            # A union-level failure (unimplemented opcode, deadlock
-            # shape the shared stack cannot attribute): hand every
-            # still-running trial to the scalar oracle.
-            batch.finish_live(TRIAL_FALLBACK, reason="union_error")
-            break
+    with np.errstate(all="ignore"):
+        for cta_index in range(launch.grid_ctas):
+            if not batch.live.any():
+                break
+            try:
+                _run_cta(kernel, launch, cta_index, memory, states, batch,
+                         register_count, program)
+            except SimulationError:
+                # A union-level failure (unimplemented opcode, deadlock
+                # shape the shared stack cannot attribute): hand every
+                # still-running trial to the scalar oracle.
+                batch.finish_live(TRIAL_FALLBACK, reason="union_error")
+                break
     for trial in range(trials):
         if batch.outcomes[trial] is None:
             batch.outcomes[trial] = TRIAL_OK
@@ -771,8 +748,12 @@ def run_trials(kernel: Kernel, launch: LaunchConfig, image: np.ndarray,
 
 def _run_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
              memory: TrialMemory, states: Sequence[ResilienceState],
-             batch: TrialBatch, register_count: int) -> None:
-    """One CTA of the batched launch (mirrors ``run_functional_cta``)."""
+             batch: TrialBatch, register_count: int,
+             program: Sequence[Decoded]) -> None:
+    """One CTA of the batched launch (mirrors ``run_functional_cta``).
+
+    The caller runs it under ``np.errstate(all="ignore")``.
+    """
     shared = None
     if launch.shared_words_per_cta:
         shared = TrialMemory(
@@ -786,7 +767,7 @@ def _run_cta(kernel: Kernel, launch: LaunchConfig, cta_index: int,
         warps.append(TrialWarp(kernel, cta_index, warp_index, count,
                                launch.threads_per_cta, launch.grid_ctas,
                                register_count, memory, shared, states,
-                               batch))
+                               batch, program))
     while True:
         progressed = False
         barrier_waiters = 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gpu import MemorySpace
+from repro.gpu.warp import global_access_profile
 
 
 class TestHostAccess:
@@ -78,20 +79,23 @@ class TestLaneAccess:
 
 
 class TestCoalescing:
+    """The transaction count the SM charges a narrow global access."""
+
+    @staticmethod
+    def transactions(addresses, mask):
+        return global_access_profile(addresses, mask, wide=False)[0]
+
     def test_unit_stride_is_one_transaction(self):
         addresses = np.arange(32, dtype=np.uint32)
-        assert MemorySpace.transactions(
-            addresses, np.ones(32, dtype=bool)) == 1
+        assert self.transactions(addresses, np.ones(32, dtype=bool)) == 1
 
     def test_wide_stride_fans_out(self):
         addresses = (np.arange(32, dtype=np.uint32) * 32)
-        assert MemorySpace.transactions(
-            addresses, np.ones(32, dtype=bool)) == 32
+        assert self.transactions(addresses, np.ones(32, dtype=bool)) == 32
 
     def test_masked_lanes_do_not_count(self):
         addresses = np.arange(32, dtype=np.uint32) * 32
         mask = np.zeros(32, dtype=bool)
         mask[0] = True
-        assert MemorySpace.transactions(addresses, mask) == 1
-        assert MemorySpace.transactions(
-            addresses, np.zeros(32, dtype=bool)) == 0
+        assert self.transactions(addresses, mask) == 1
+        assert self.transactions(addresses, np.zeros(32, dtype=bool)) == 0
