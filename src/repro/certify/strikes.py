@@ -31,11 +31,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace as _replace
 from itertools import combinations
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.bitutils import mask, popcount
 from repro.ecc.swap import RegisterWord, SwapScheme
-from repro.errors import CertificationError
+from repro.ecc.vectorized import parity_many
+from repro.errors import CertificationError, InvalidArgument
 
 #: version of the strike-space *shape* — the enumerators, their tiers,
 #: and their parameter semantics.  Part of the fault-model fingerprint a
@@ -101,10 +104,14 @@ def apply_strike(scheme: SwapScheme, base: int,
                  strike: Strike) -> RegisterWord:
     """The stored register word after ``strike`` hits a pair writing ``base``.
 
-    Built through the scheme's own write API (``write_original`` /
-    ``write_shadow`` / ``storage_strike_mask``) so the certifier
-    exercises exactly the machinery the simulator uses; the golden value
-    is always ``base``.
+    The scalar reference for :func:`apply_strikes`: one word, built
+    through the scheme's own write API (``write_original`` /
+    ``write_shadow`` / ``write_pair``) and the ``RegisterWord.with_*``
+    error helpers, exactly the machinery the simulator uses.  The sweep
+    builds its words with :func:`apply_strikes` (pinned to this function
+    element for element); counterexample shrinking and reporting rebuild
+    single words here.  The golden value is ``base`` masked to the
+    register width.
     """
     data_bits = scheme.data_bits
     base &= mask(data_bits)
@@ -131,6 +138,90 @@ def apply_strike(scheme: SwapScheme, base: int,
     wrong = (base + strike.delta) % (1 << data_bits)
     word = scheme.write_pair(base)
     return word.with_data_error(word.data ^ wrong)
+
+
+#: the write-API methods :func:`apply_strikes` composes arithmetically;
+#: a scheme overriding any of them must not be swept array-at-a-time
+_WRITE_API = ("write_original", "write_shadow", "write_pair")
+
+
+def _error_terms(strike: Strike, width: int) -> Tuple[int, ...]:
+    """``(e_orig, e_shadow, e_storage, e_check, e_dp, shift)`` of a strike.
+
+    ``e_orig``/``e_shadow`` are the errors in the values the original and
+    the shadow wrote (masked to the register width, as the write API
+    masks them); ``e_storage``/``e_check``/``e_dp`` flip stored bits
+    afterwards; ``shift`` is an arithmetic strike's ``delta mod 2^w``.
+    """
+    placement = strike.placement
+    if placement == "pipeline-original":
+        return (strike.data_error & width, 0, 0, 0, 0, 0)
+    if placement == "pipeline-shadow-value":
+        return (0, strike.data_error & width, 0, 0, 0, 0)
+    if placement == "pipeline-shadow-bus":
+        return (0, 0, 0, strike.check_error, 0, 0)
+    if placement == "pipeline-dp":
+        return (0, 0, 0, 0, 1, 0)
+    if placement == "storage":
+        return (0, 0, strike.data_error, strike.check_error,
+                1 if strike.dp_error else 0, 0)
+    return (0, 0, 0, 0, 0, strike.delta % (width + 1))
+
+
+def apply_strikes(scheme: SwapScheme, strikes: Sequence[Strike],
+                  bases: Sequence[int]
+                  ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The stored words of every ``(strike, base)`` pair, as arrays.
+
+    Returns ``(data, check, dp)`` as ``uint64`` arrays in sweep order —
+    strike-major, base-minor, so word ``i * len(bases) + j`` is
+    ``apply_strike(scheme, bases[j], strikes[i])`` — with ``dp`` None
+    for schemes without a data-parity bit.  One vectorized composition
+    replaces the per-word write-API calls::
+
+        orig  = base ^ e_orig
+        data  = ((orig + shift) mod 2^w) ^ e_storage
+        check = encode_many(base ^ e_shadow) ^ e_check
+        dp    = parity_many(orig) ^ e_dp
+
+    (``shift`` is nonzero only for arithmetic strikes, whose other terms
+    are zero.)  The composition restates the base-class write API, so a
+    scheme whose class overrides ``write_original``/``write_shadow``/
+    ``write_pair`` raises :class:`CertificationError` rather than being
+    swept against semantics it does not have.  Callers bound the word
+    count (the certifier passes chunks of at most ``BROADCAST_MAX``
+    words); memory is linear in ``len(strikes) * len(bases)``.
+    """
+    overridden = [name for name in _WRITE_API
+                  if getattr(type(scheme), name) is not getattr(SwapScheme,
+                                                                name)]
+    if overridden:
+        raise CertificationError(
+            f"{type(scheme).__name__} overrides {', '.join(overridden)}; "
+            f"its stored words cannot be built array-at-a-time")
+    width = mask(scheme.data_bits)
+    try:
+        terms = np.array([_error_terms(strike, width) for strike in strikes],
+                         dtype=np.uint64)
+        base = np.array([value & width for value in bases],
+                        dtype=np.uint64)
+    except OverflowError:
+        raise CertificationError(
+            "strike masks and base words must fit a 64-bit stored "
+            "segment") from None
+    # six (strikes, 1) columns, broadcast against the (bases,) row
+    e_orig, e_shadow, e_storage, e_check, e_dp, shift = \
+        terms.reshape(-1, 6, 1).swapaxes(0, 1)
+    if not scheme.uses_data_parity and e_dp.any():
+        raise InvalidArgument("word has no data-parity bit")
+    orig = base ^ e_orig
+    data = ((orig + shift) & np.uint64(width)) ^ e_storage
+    check = scheme.code.encode_many((base ^ e_shadow).ravel()) \
+        .reshape(orig.shape) ^ e_check
+    dp = None
+    if scheme.uses_data_parity:
+        dp = (parity_many(orig) ^ e_dp).ravel()
+    return data.ravel(), check.ravel(), dp
 
 
 def _bit_masks(width: int, weight: int) -> Iterator[int]:
@@ -223,36 +314,41 @@ def random_strikes(scheme: SwapScheme, rng: random.Random, count: int,
 
     Samples ``count`` strikes per (weight, placement-family) stratum:
     pipeline value errors, shadow-bus patterns, and cross-segment
-    storage patterns — the spaces too large to sweep exhaustively.
+    storage patterns — the spaces too large to sweep exhaustively.  A
+    stratum whose segment has fewer bits than ``weight`` is skipped.
     """
     data_bits = scheme.data_bits
     check_bits = scheme.code.check_bits
     stored_bits = data_bits + check_bits + (1 if scheme.uses_data_parity
                                             else 0)
     for weight in weights:
-        for _ in range(count):
-            bits = rng.sample(range(data_bits), weight)
-            error = sum(1 << bit for bit in bits)
-            yield Strike("pipeline-original", data_error=error,
-                         tier="random")
-            yield Strike("pipeline-shadow-value", data_error=error,
-                         tier="random")
+        if weight <= data_bits:
+            for _ in range(count):
+                bits = rng.sample(range(data_bits), weight)
+                error = sum(1 << bit for bit in bits)
+                yield Strike("pipeline-original", data_error=error,
+                             tier="random")
+                yield Strike("pipeline-shadow-value", data_error=error,
+                             tier="random")
         if weight <= check_bits:
             for _ in range(count):
                 bits = rng.sample(range(check_bits), weight)
                 yield Strike("pipeline-shadow-bus",
                              check_error=sum(1 << bit for bit in bits),
                              tier="random")
-        for _ in range(count):
-            bits = rng.sample(range(stored_bits), weight)
-            data_error = sum(1 << bit for bit in bits if bit < data_bits)
-            check_error = sum(1 << (bit - data_bits) for bit in bits
-                              if data_bits <= bit < data_bits + check_bits)
-            dp_error = int(any(bit >= data_bits + check_bits
-                               for bit in bits))
-            yield Strike("storage", data_error=data_error,
-                         check_error=check_error, dp_error=dp_error,
-                         tier="random")
+        if weight <= stored_bits:
+            for _ in range(count):
+                bits = rng.sample(range(stored_bits), weight)
+                data_error = sum(1 << bit for bit in bits
+                                 if bit < data_bits)
+                check_error = sum(1 << (bit - data_bits) for bit in bits
+                                  if data_bits <= bit
+                                  < data_bits + check_bits)
+                dp_error = int(any(bit >= data_bits + check_bits
+                                   for bit in bits))
+                yield Strike("storage", data_error=data_error,
+                             check_error=check_error, dp_error=dp_error,
+                             tier="random")
 
 
 def arithmetic_strikes(scheme: SwapScheme, rng: random.Random,
@@ -291,11 +387,11 @@ def correlated_lane_batch(scheme: SwapScheme, base_values: Sequence[int],
     share the struck physical row), so a scheme's batched read port must
     flag each lane exactly as it would a lone scalar read.
     """
-    words = []
-    goldens = []
-    for base in base_values:
-        words.append(apply_strike(scheme, base, strike))
-        goldens.append(base & mask(scheme.data_bits))
+    data, check, dp = apply_strikes(scheme, [strike], base_values)
+    dp_bits = [None] * len(data) if dp is None else dp.tolist()
+    words = [RegisterWord(*stored)
+             for stored in zip(data.tolist(), check.tolist(), dp_bits)]
+    goldens = [base & mask(scheme.data_bits) for base in base_values]
     return words, goldens
 
 

@@ -8,7 +8,11 @@ certifier actually checks something).
 """
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from repro.certify import (CERTIFICATE_SCHEMA_VERSION, Certifier, Strike,
@@ -16,7 +20,11 @@ from repro.certify import (CERTIFICATE_SCHEMA_VERSION, Certifier, Strike,
                            certify_scheme, claim_matrix,
                            make_certified_scheme, tampered_secded_dp,
                            write_certificate)
-from repro.ecc import NaiveSecDedSwap, SecDedDpSwap
+from repro.certify.engine import _chunk_strikes
+from repro.certify.strikes import apply_strike
+from repro.ecc import (DetectOnlySwap, NaiveSecDedSwap, ParityCode,
+                       SecDedDpSwap)
+from repro.ecc.vectorized import READ_DUE, BatchReadResult
 from repro.errors import CertificationError, InvalidArgument
 
 
@@ -278,3 +286,99 @@ class TestPartialCertification:
         first = certify_scheme("mod7", seed=3)
         second = certify_scheme("mod7", seed=3, only=None)
         assert first.to_dict() == second.to_dict()
+
+
+class TestNarrowRegisters:
+    def test_base_words_fill_a_narrow_register(self):
+        words = Certifier(random_base_words=9).base_words(
+            DetectOnlySwap(ParityCode(data_bits=4)))
+        assert len(set(words)) == len(words) == 14 and max(words) < 16
+
+    def test_two_bit_parity_certifies_end_to_end(self):
+        # run in a child with a timeout: base_words once looped forever
+        # on a register with fewer values than the default word count
+        script = (
+            "from repro.certify import Certifier\n"
+            "from repro.ecc import DetectOnlySwap, ParityCode\n"
+            "scheme = DetectOnlySwap(ParityCode(data_bits=2))\n"
+            "words = Certifier(random_base_words=9).base_words(scheme)\n"
+            "assert sorted(words) == [0, 1, 2, 3], words\n"
+            "for mode in ('fast', 'full'):\n"
+            "    cert = Certifier(mode=mode).certify(scheme)\n"
+            "    assert cert.passed, cert.violated\n"
+            "    assert cert.base_words == 4, cert.base_words\n"
+            "    print(mode, cert.strikes_swept)\n")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("fast ")
+
+
+class _RecordingParity(DetectOnlySwap):
+    """Parity swap that records its read_many batches and can lie once."""
+
+    def __init__(self, lie_on=None):
+        super().__init__(ParityCode())
+        self.batches = []
+        self.lie_on = lie_on
+
+    def read_many(self, data, check, dp=None):
+        self.batches.append(len(data))
+        batch = super().read_many(data, check, dp)
+        if self.lie_on is None:
+            return batch
+        status = batch.status.copy()
+        hit = (data == np.uint64(self.lie_on[0])) \
+            & (check == np.uint64(self.lie_on[1]))
+        status[hit] = READ_DUE
+        return BatchReadResult(status, batch.data)
+
+
+class TestBatchedReadPass:
+    # 7 base words: a chunk holds 288 strikes (2016 words, 63 whole warp
+    # batches), not the 292 that would fit in 2048 words
+    CERTIFIER = Certifier(random_base_words=2)
+
+    def test_chunks_hold_whole_warp_batches(self):
+        for base_count in range(1, 65):
+            words = _chunk_strikes(base_count) * base_count
+            assert words % 32 == 0 and 0 < words <= 2048, base_count
+        assert _chunk_strikes(7) == 288 and _chunk_strikes(8) == 256
+
+    def test_batches_are_consecutive_warps_with_the_tail_last(self):
+        scheme = _RecordingParity()
+        certificate = self.CERTIFIER.certify(scheme)
+        assert certificate.passed
+        total = certificate.strikes_swept
+        assert total % 32 and total > 2048
+        assert scheme.batches == [32] * (total // 32) + [total % 32]
+        assert certificate.claims["batched-read-equivalence"].swept == total
+
+    def test_mismatch_in_a_later_chunk_names_its_strike(self):
+        reference = DetectOnlySwap(ParityCode())
+        bases = self.CERTIFIER.base_words(reference)
+        order = [(strike, base)
+                 for strike in self.CERTIFIER.strikes(reference)
+                 for base in bases]
+        stored = [(word.data, word.check) for word in
+                  (apply_strike(reference, base, strike)
+                   for strike, base in order)]
+        # the second chunk starts at word 2016; pick a word in it whose
+        # stored pair appears nowhere earlier in the sweep
+        index = next(i for i in range(2016, 4032)
+                     if stored.index(stored[i]) == i)
+        strike, base = order[index]
+        scheme = _RecordingParity(lie_on=stored[index])
+        report = self.CERTIFIER.certify(scheme).claims[
+            "batched-read-equivalence"]
+        assert report.verdict == "violated"
+        assert report.counterexample["strike"] == strike.describe()
+        assert report.counterexample["base"] == f"0x{base:x}"
+        assert report.counterexample["stored_data"] == \
+            f"0x{stored[index][0]:x}"
+        assert report.counterexample["scalar_status"] == "ok"
+        assert report.counterexample["batched_status"] == READ_DUE

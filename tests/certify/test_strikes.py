@@ -2,15 +2,22 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.certify import (PIPELINE_PLACEMENTS, PLACEMENTS, Strike,
-                           apply_strike, arithmetic_strikes, burst_strikes,
+from repro.certify import (PIPELINE_PLACEMENTS, PLACEMENTS, Certifier,
+                           Strike, apply_strike, arithmetic_strikes,
+                           burst_strikes, certification_registry,
                            correlated_lane_batch,
                            exhaustive_pipeline_strikes,
-                           exhaustive_storage_strikes, random_strikes)
-from repro.certify.strikes import shrink_strike
-from repro.ecc import DetectOnlySwap, ParityCode, SecDedDpSwap
+                           exhaustive_storage_strikes, random_strikes,
+                           tampered_secded_dp)
+from repro.certify.strikes import apply_strikes, shrink_strike
+from repro.ecc import (DetectOnlySwap, NaiveSecDedSwap, ParityCode,
+                       ResidueCode, SecDedDpSwap)
+from repro.errors import CertificationError
 
 
 SCHEME = SecDedDpSwap()
@@ -135,6 +142,100 @@ class TestShrinkAndLanes:
         assert goldens == bases
         for base, word in zip(bases, words):
             assert word.data == base ^ 0b100
+
+
+def _builder_schemes() -> dict:
+    """Every scheme the array builder must reproduce, by label."""
+    schemes = {name: factory()
+               for name, factory in certification_registry().items()}
+    for kind in ("zero-column", "duplicate-column"):
+        schemes[f"tampered-{kind}"] = tampered_secded_dp(kind)
+    schemes["naive-secded"] = NaiveSecDedSwap()
+    schemes["parity-2"] = DetectOnlySwap(ParityCode(data_bits=2))
+    schemes["mod15-8"] = DetectOnlySwap(ResidueCode(15, data_bits=8))
+    return schemes
+
+
+BUILDER_SCHEMES = _builder_schemes()
+
+
+def _assert_builder_matches(scheme, strikes, bases):
+    """apply_strikes equals the scalar apply_strike, element for element."""
+    data, check, dp = apply_strikes(scheme, strikes, bases)
+    words = [apply_strike(scheme, base, strike)
+             for strike in strikes for base in bases]
+    assert data.dtype == np.uint64 and check.dtype == np.uint64
+    assert data.tolist() == [word.data for word in words]
+    assert check.tolist() == [word.check for word in words]
+    if scheme.uses_data_parity:
+        assert dp.dtype == np.uint64
+        assert dp.tolist() == [word.dp for word in words]
+    else:
+        assert dp is None
+        assert all(word.dp is None for word in words)
+
+
+class TestApplyStrikes:
+    """The sweep's array builder against the scalar reference."""
+
+    @pytest.mark.parametrize("label", sorted(BUILDER_SCHEMES))
+    def test_matches_apply_strike_over_the_swept_space(self, label):
+        scheme = BUILDER_SCHEMES[label]
+        full = list(Certifier(mode="full").strikes(scheme))
+        fast = list(Certifier(mode="fast").strikes(scheme))
+        # the full space extends the fast one, so checking it checks both
+        assert full[:len(fast)] == fast and len(full) > len(fast)
+        _assert_builder_matches(scheme, full,
+                                Certifier().base_words(scheme))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_arbitrary_masks_and_deltas(self, data):
+        label = data.draw(st.sampled_from(sorted(BUILDER_SCHEMES)))
+        scheme = BUILDER_SCHEMES[label]
+        width = scheme.data_bits
+        modulus = getattr(scheme.code, "modulus", 3)
+        word_mask = st.integers(0, 2 ** 64 - 1)
+        delta = st.one_of(
+            st.sampled_from([2 ** width - 1, -(2 ** width - 1)]),
+            st.integers(-4, 4).map(lambda k: k * modulus),
+            st.integers(-(2 ** 70), 2 ** 70))
+        placements = [placement for placement in PLACEMENTS
+                      if scheme.uses_data_parity
+                      or placement != "pipeline-dp"]
+        strike = st.builds(
+            Strike, st.sampled_from(placements), data_error=word_mask,
+            check_error=word_mask,
+            dp_error=st.integers(0, 1) if scheme.uses_data_parity
+            else st.just(0),
+            delta=delta)
+        strikes = data.draw(st.lists(strike, min_size=1, max_size=6))
+        bases = data.draw(st.lists(word_mask, min_size=1, max_size=4))
+        _assert_builder_matches(scheme, strikes, bases)
+
+    def test_empty_strike_list_builds_no_words(self):
+        data, check, dp = apply_strikes(SCHEME, [], [0, 1])
+        assert len(data) == len(check) == len(dp) == 0
+        assert data.dtype == check.dtype == dp.dtype == np.uint64
+
+    def test_overridden_write_api_fails_loudly(self):
+        class ShadowOverride(SecDedDpSwap):
+            def write_shadow(self, word, value):
+                return super().write_shadow(word, value)
+
+        scheme = ShadowOverride()
+        with pytest.raises(CertificationError, match="write_shadow"):
+            apply_strikes(scheme, [Strike("storage", data_error=1)], [0])
+        with pytest.raises(CertificationError, match="write_shadow"):
+            Certifier().certify(scheme)
+        # the scalar reference still builds its words
+        assert apply_strike(scheme, 0, Strike("storage", data_error=1)) \
+            == SCHEME.write_pair(0).with_data_error(1)
+
+    def test_unrepresentable_storage_mask_fails_loudly(self):
+        with pytest.raises(CertificationError, match="64-bit"):
+            apply_strikes(SCHEME, [Strike("storage", data_error=1 << 64)],
+                          [0])
 
 
 def test_every_placement_constant_is_enumerable():
